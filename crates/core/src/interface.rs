@@ -1,5 +1,7 @@
 //! `NNLQP.query` — the cached latency-query path (§5.2).
 
+use crate::embed_cache::{EmbedKey, SharedEmbedding};
+use crate::lru::{ShardedLru, CACHE_SHARDS};
 use nnlqp_analyze::Report;
 use nnlqp_db::{CompactorHandle, Database, DbMetrics, DurableOptions, PlatformId};
 use nnlqp_hash::graph_hash;
@@ -212,7 +214,7 @@ pub struct Nnlqp {
     /// `predictor` write lock on every hot-swap so embed-cache keys from
     /// an older model can never resolve.
     pub(crate) predictor_version: std::sync::atomic::AtomicU64,
-    pub(crate) embed_cache: crate::embed_cache::EmbedCache,
+    pub(crate) embed_cache: ShardedLru<EmbedKey, SharedEmbedding>,
     /// Architecture trained when [`crate::TrainPredictorConfig::arch`] is
     /// `None` ([`NnlqpBuilder::predictor`]; GraphSAGE by default).
     pub(crate) default_arch: nnlqp_predict::PredictorKind,
@@ -263,8 +265,6 @@ const DB_COMPACT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Default number of cached graph embeddings.
 const DEFAULT_EMBED_CACHE_CAPACITY: usize = 2048;
-/// Shard count of the embed cache (rounded to a power of two inside).
-const EMBED_CACHE_SHARDS: usize = 8;
 
 impl NnlqpBuilder {
     /// The device farm to measure on (default: the full platform
@@ -419,7 +419,7 @@ impl NnlqpBuilder {
             lint_cache: Mutex::new(HashMap::new()),
             predictor: parking_lot::RwLock::new(None),
             predictor_version: std::sync::atomic::AtomicU64::new(0),
-            embed_cache: crate::embed_cache::EmbedCache::new(embed_capacity, EMBED_CACHE_SHARDS),
+            embed_cache: ShardedLru::new(embed_capacity, CACHE_SHARDS),
             default_arch: self.predictor_kind.unwrap_or_default(),
             m_embed_hits,
             m_embed_misses,
@@ -432,33 +432,6 @@ impl Nnlqp {
     /// Start configuring a system.
     pub fn builder() -> NnlqpBuilder {
         NnlqpBuilder::default()
-    }
-
-    /// System over a given farm.
-    #[deprecated(since = "0.1.0", note = "use `Nnlqp::builder().farm(farm).build()`")]
-    pub fn new(farm: DeviceFarm) -> Self {
-        Self::builder().farm(farm).build()
-    }
-
-    /// System over the full platform registry, one device each.
-    #[deprecated(since = "0.1.0", note = "use `Nnlqp::builder().build()`")]
-    pub fn with_default_farm() -> Self {
-        Self::builder().build()
-    }
-
-    /// Builder-style toggle for strict (analyze-before-measure) mode.
-    #[deprecated(since = "0.1.0", note = "use `NnlqpBuilder::strict`")]
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Reseed the measurement/jitter stream.
-    #[deprecated(since = "0.1.0", note = "use `NnlqpBuilder::seed`")]
-    pub fn set_seed(&mut self, seed: u64) {
-        self.base_seed = seed;
-        *self.seed.lock() = Rng64::new(seed);
     }
 
     /// Measurement repetitions per query (paper: 50).
@@ -914,16 +887,6 @@ mod tests {
             .build();
         s.query(&params("gpu-T4-trt7.1-fp32")).unwrap();
         assert_eq!(shared.snapshot().counter(metric_names::QUERIES), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_work() {
-        let s = Nnlqp::new(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1)).with_strict(true);
-        assert!(s.strict());
-        let mut s = Nnlqp::with_default_farm();
-        s.set_seed(5);
-        assert!(s.query(&params("gpu-T4-trt7.1-fp32")).unwrap().latency_ms > 0.0);
     }
 
     #[test]

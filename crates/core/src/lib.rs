@@ -28,13 +28,15 @@
 
 pub mod embed_cache;
 pub mod interface;
+pub mod lru;
 pub mod predictor;
 
-pub use embed_cache::{EmbedCache, EmbedKey, SharedEmbedding};
+pub use embed_cache::{EmbedKey, SharedEmbedding};
 pub use interface::{
     metric_names, CountersSnapshot, MeasureTicks, Nnlqp, NnlqpBuilder, QueryError, QueryParams,
     QueryResult,
 };
+pub use lru::{ShardedLru, CACHE_SHARDS};
 pub use nnlqp_obs::{
     to_prometheus, DriftAlert, EventLog, MonitorConfig, QualityMonitor, QualityReport,
 };

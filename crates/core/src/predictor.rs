@@ -9,7 +9,7 @@
 //! architecture identity, so a swap — same architecture or cross —
 //! can never serve a stale embedding.
 
-use crate::embed_cache::EmbedKey;
+use crate::embed_cache::{EmbedKey, SharedEmbedding};
 use crate::interface::{Nnlqp, QueryError, QueryParams};
 use nnlqp_hash::graph_fingerprint;
 use nnlqp_ir::Rng64;
@@ -61,15 +61,6 @@ impl PredictorHandle {
             head_of,
             stamp: 0,
         }
-    }
-
-    /// Legacy constructor for callers holding a concrete [`NnlpModel`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PredictorHandle::new(Arc::new(model), head_of)` — the facade is architecture-agnostic now"
-    )]
-    pub fn from_nnlp(model: NnlpModel, head_of: HashMap<String, usize>) -> Self {
-        PredictorHandle::new(Arc::new(model), head_of)
     }
 
     /// Architecture of the wrapped model.
@@ -450,7 +441,7 @@ impl Nnlqp {
 
         // Serial probe pass: hash each graph and consult the cache.
         let keys: Vec<EmbedKey> = graphs.iter().map(|g| embed_key(g, handle)).collect();
-        let mut embeddings: Vec<Option<crate::embed_cache::SharedEmbedding>> =
+        let mut embeddings: Vec<Option<SharedEmbedding>> =
             keys.iter().map(|k| self.embed_cache.get(k)).collect();
         let hits = embeddings.iter().flatten().count() as u64;
         self.m_embed_hits.add(hits);
@@ -461,7 +452,7 @@ impl Nnlqp {
             .filter(|&i| embeddings[i].is_none())
             .collect();
         self.m_embed_misses.add(missing.len() as u64);
-        let fresh: Vec<crate::embed_cache::SharedEmbedding> = missing
+        let fresh: Vec<SharedEmbedding> = missing
             .par_iter()
             .map(|&i| {
                 let feats = extract_features(&graphs[i]);
@@ -792,25 +783,6 @@ mod tests {
                 .cost_s,
             CACHED_PREDICT_COST_S
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_nnlp_handle_shim_still_works() {
-        let (s, probe) = trained_system();
-        // Rewrap the installed model as a concrete NnlpModel checkpoint
-        // and re-install through the legacy shim.
-        let installed = s.predictor_handle().unwrap();
-        let model = NnlpModel::from_json(&installed.model.to_json()).unwrap();
-        let shim = PredictorHandle::from_nnlp(model, installed.head_of.clone());
-        assert_eq!(shim.kind(), PredictorKind::Sage);
-        s.set_predictor(shim);
-        let p = QueryParams::by_name(probe, 1, "gpu-T4-trt7.1-fp32").unwrap();
-        let via_shim = s.predict(&p).unwrap();
-        let direct = s
-            .predict_effective_with(&installed, &p.model, "gpu-T4-trt7.1-fp32")
-            .unwrap();
-        assert_eq!(via_shim.latency_ms, direct.latency_ms);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The split is the contract the whole serving stack is built on:
 //!
 //! * [`Predictor::embed_with`] is the expensive half (backbone + pooling)
-//!   whose output the facade's `EmbedCache` stores;
+//!   whose output the facade's embed cache stores;
 //! * [`Predictor::head_eval_with`] is the cheap per-platform half run on
 //!   cache hits;
 //! * [`Predictor::identity`] names the architecture for cache keying, so

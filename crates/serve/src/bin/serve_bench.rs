@@ -166,7 +166,6 @@ fn main() {
         workers,
         queue_depth: queue,
         cache_capacity: 4096,
-        cache_shards: 8,
         degrade_backlog,
         retrain_after,
         // Drift-triggered retrains need covered platforms too, so any
@@ -447,7 +446,6 @@ fn open_loop_main(flags: &HashMap<String, String>) {
             workers,
             queue_depth: queue,
             cache_capacity: 4096,
-            cache_shards: 8,
             degrade_backlog,
             ..Default::default()
         },

@@ -9,7 +9,8 @@
 //! - [`LatencyService`] — worker pool behind a bounded submission queue
 //!   (admission control: a full queue rejects instead of queueing
 //!   unboundedly);
-//! - [`ShardedLru`] — in-memory hot cache in front of `nnlqp-db`;
+//! - a hot cache in front of `nnlqp-db` — an [`nnlqp::ShardedLru`]
+//!   keyed by [`CacheKey`];
 //! - [`SingleFlight`] — concurrent misses on one key share a single farm
 //!   measurement;
 //! - degrade-to-predict — under measurement backlog, requests are served
@@ -17,9 +18,10 @@
 //! - an evolving-database loop that retrains predictor heads — on a
 //!   fresh-sample cadence, or on *drift alerts* from the shadow
 //!   evaluator (see below), hot-swapping them atomically;
-//! - [`ServeMetrics`] — terminal-class counters (they partition the
-//!   request stream) plus a served-latency histogram and live gauges for
-//!   queue depth and hot-cache occupancy;
+//! - [`ServeMetrics`] — terminal-class counters, recorded from each
+//!   request trace's terminal class (they partition the request stream),
+//!   plus a served-latency histogram and live gauges for queue depth and
+//!   hot-cache occupancy;
 //! - quality monitoring ([`ServeConfig::monitor`]) — a shadow evaluator
 //!   re-predicts a sample of measurement-backed answers, maintains
 //!   per-platform rolling MAPE / Acc(10%) / Acc(5%) windows, and raises
@@ -41,7 +43,7 @@ pub mod openloop;
 pub mod service;
 pub mod singleflight;
 
-pub use cache::{CacheKey, ShardedLru};
+pub use cache::CacheKey;
 pub use metrics::{
     metric_names, wall_bounds_ms, MetricsSnapshot, ServeMetrics, HISTOGRAM_BOUNDS_MS, STAGE_NAMES,
 };

@@ -2,9 +2,11 @@
 //! registered in the workspace-wide [`MetricsRegistry`].
 //!
 //! Every request ends in exactly one terminal class — hot-cache hit,
-//! database hit, measured miss, degraded prediction, rejection, or
-//! validation error — so the counters balance against `requests` at any
-//! quiescent point. `coalesced`, `measured` and the retrain counters are
+//! database hit, measured miss, degraded prediction, lint rejection,
+//! rejection, or validation error. The outcome counters are bumped in
+//! one place, `ServeMetrics::record_trace`, from the class the request
+//! trace finished with, so they balance against `requests` by
+//! construction. `coalesced`, `measured` and the retrain counters are
 //! informational overlays, not terminal classes.
 //!
 //! [`ServeMetrics`] holds pre-resolved handles into a registry — usually
@@ -189,10 +191,30 @@ impl ServeMetrics {
         }
     }
 
-    /// Feed a finished request trace into the wall-time and per-stage
+    /// Record one finished request: `requests`, the outcome counter(s)
+    /// of the trace's terminal class, the served-latency histogram (for
+    /// answered requests, `served_ms`) and the wall-time and per-stage
     /// histograms. Stage names outside [`STAGE_NAMES`] are ignored (the
     /// tracer only emits known names; this keeps the series set bounded).
-    pub fn record_trace(&self, trace: &RequestTrace) {
+    pub(crate) fn record_trace(&self, trace: &RequestTrace, served_ms: Option<f64>) {
+        self.requests.inc();
+        match trace.class {
+            "hot_cache" => self.hot_hits.inc(),
+            "db_hit" => self.db_hits.inc(),
+            "measured" => self.misses.inc(),
+            "coalesced" => {
+                self.misses.inc();
+                self.coalesced.inc();
+            }
+            "degraded" => self.degraded.inc(),
+            "lint_rejected" => self.lint_rejected.inc(),
+            "unknown_platform" | "bad_batch" => self.errors.inc(),
+            // overloaded, shutting_down, measurement
+            _ => self.rejected.inc(),
+        }
+        if let Some(ms) = served_ms {
+            self.latency.observe(ms);
+        }
         self.request_wall.observe(trace.total_ms());
         for s in &trace.stages {
             if let Some(h) = self.stage.get(s.name) {
@@ -207,16 +229,7 @@ impl ServeMetrics {
     }
 
     bump!(
-        requests,
-        hot_hits,
-        db_hits,
-        misses,
-        coalesced,
         measured,
-        degraded,
-        rejected,
-        lint_rejected,
-        errors,
         drift_retrains,
         predictor_promotions,
         quant_publishes,
@@ -234,10 +247,6 @@ impl ServeMetrics {
 
     pub(crate) fn set_hot_cache_len(&self, len: f64) {
         self.hot_cache_len.set(len);
-    }
-
-    pub(crate) fn observe_latency(&self, ms: f64) {
-        self.latency.observe(ms);
     }
 
     /// Point-in-time copy of everything.
@@ -367,30 +376,37 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nnlqp_obs::{TraceClock, TraceContext};
+
+    fn record(m: &ServeMetrics, class: &'static str, served_ms: Option<f64>) {
+        let clock = TraceClock::new();
+        m.record_trace(&TraceContext::begin(&clock).finish(class), served_ms);
+    }
 
     #[test]
     fn counters_partition_requests() {
         let m = ServeMetrics::default();
-        for _ in 0..5 {
-            m.requests();
+        for class in ["coalesced", "lint_rejected", "bad_batch", "measurement"] {
+            record(&m, class, None);
         }
-        m.hot_hits();
-        m.db_hits();
-        m.misses();
-        m.degraded();
-        m.lint_rejected();
         let s = m.snapshot();
+        assert_eq!((s.requests, s.misses, s.coalesced), (4, 1, 1));
+        assert_eq!((s.lint_rejected, s.errors, s.rejected), (1, 1, 1));
         assert!(s.balanced());
-        m.requests();
-        assert!(!m.snapshot().balanced());
+        let drifted = MetricsSnapshot {
+            requests: s.requests + 1,
+            ..s
+        };
+        assert!(!drifted.balanced());
     }
 
     #[test]
     fn histogram_buckets_by_bound() {
         let m = ServeMetrics::default();
-        m.observe_latency(0.1); // <= 0.125
-        m.observe_latency(3.0); // <= 4
-        m.observe_latency(1.0e6); // overflow
+        record(&m, "hot_cache", Some(0.1)); // <= 0.125
+        record(&m, "hot_cache", Some(3.0)); // <= 4
+        record(&m, "hot_cache", Some(1.0e6)); // overflow
+        record(&m, "overloaded", None); // no answer, no sample
         let h = m.snapshot().latency_histogram;
         assert_eq!(h[0], (0.125, 1));
         assert_eq!(h[5], (4.0, 1));
@@ -403,9 +419,7 @@ mod tests {
     #[test]
     fn json_rendering_is_well_formed() {
         let m = ServeMetrics::default();
-        m.requests();
-        m.hot_hits();
-        m.observe_latency(2.0);
+        record(&m, "hot_cache", Some(2.0));
         let v = m.snapshot().to_json();
         assert_eq!(v["requests"].as_u64(), Some(1));
         assert_eq!(v["balanced"].as_bool(), Some(true));
@@ -416,9 +430,7 @@ mod tests {
     fn shared_registry_sees_serve_series() {
         let registry = MetricsRegistry::new();
         let m = ServeMetrics::new(&registry);
-        m.requests();
-        m.hot_hits();
-        m.observe_latency(1.5);
+        record(&m, "hot_cache", Some(1.5));
         let snap = registry.snapshot();
         assert_eq!(snap.counter(metric_names::REQUESTS), 1);
         assert_eq!(snap.counter(metric_names::HOT_HITS), 1);

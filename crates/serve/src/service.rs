@@ -56,13 +56,13 @@
 //! retrain loop when it runs); the per-platform outcome is reported by
 //! [`LatencyService::champions`].
 
-use crate::cache::{CacheKey, ShardedLru};
+use crate::cache::CacheKey;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::singleflight::{Role, SingleFlight};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use nnlqp::{
-    Nnlqp, PredictResult, PredictTicks, PredictorHandle, PredictorKind, QueryError,
-    TrainPredictorConfig,
+    Nnlqp, PredictResult, PredictTicks, PredictorHandle, PredictorKind, QueryError, ShardedLru,
+    TrainPredictorConfig, CACHE_SHARDS,
 };
 use nnlqp_db::PlatformId;
 use nnlqp_hash::graph_hash;
@@ -95,8 +95,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Total hot-cache entries.
     pub cache_capacity: usize,
-    /// Hot-cache shards (rounded up to a power of two).
-    pub cache_shards: usize,
     /// Queue backlog at which requests degrade to an approximate
     /// prediction (when a predictor head covers the platform).
     pub degrade_backlog: usize,
@@ -149,7 +147,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_depth: 64,
             cache_capacity: 1024,
-            cache_shards: 8,
             degrade_backlog: 32,
             farm_wait: None,
             retrain_after: 0,
@@ -616,7 +613,7 @@ impl Shadow {
 /// Shared state the worker pool needs.
 struct WorkerCtx {
     system: Arc<Nnlqp>,
-    cache: Arc<ShardedLru>,
+    cache: Arc<ShardedLru<CacheKey, f64>>,
     flights: Arc<SingleFlight<CacheKey, Result<FlightOutcome, ServeError>>>,
     metrics: Arc<ServeMetrics>,
     retrain: Arc<RetrainShared>,
@@ -637,7 +634,7 @@ struct WriterShared {
 pub struct LatencyService {
     system: Arc<Nnlqp>,
     cfg: ServeConfig,
-    cache: Arc<ShardedLru>,
+    cache: Arc<ShardedLru<CacheKey, f64>>,
     flights: Arc<SingleFlight<CacheKey, Result<FlightOutcome, ServeError>>>,
     metrics: Arc<ServeMetrics>,
     clock: Arc<TraceClock>,
@@ -657,7 +654,7 @@ impl LatencyService {
     /// Spawn workers (and the retrain loop and metrics writer, when
     /// enabled) and start accepting queries.
     pub fn start(system: Arc<Nnlqp>, cfg: ServeConfig) -> Self {
-        let cache = Arc::new(ShardedLru::new(cfg.cache_capacity, cfg.cache_shards));
+        let cache = Arc::new(ShardedLru::new(cfg.cache_capacity, CACHE_SHARDS));
         let flights = Arc::new(SingleFlight::new());
         // Serve-tier series live next to the facade's query-stage metrics
         // in the system's registry, so one snapshot covers the stack.
@@ -777,7 +774,8 @@ impl LatencyService {
     ///
     /// The trace's stage durations tile its end-to-end latency exactly
     /// (see `nnlqp_obs::trace`), and the trace has already been fed to
-    /// the wall-time histograms and the exemplar reservoir.
+    /// the wall-time histograms and the exemplar reservoir. Its terminal
+    /// class is also the one place the request's outcome is counted.
     pub fn query_traced(
         &self,
         model: &Arc<Graph>,
@@ -797,7 +795,8 @@ impl LatencyService {
             Err(e) => error_str(e),
         };
         let trace = ctx.finish(class);
-        self.metrics.record_trace(&trace);
+        self.metrics
+            .record_trace(&trace, res.as_ref().ok().map(|s| s.latency_ms));
         self.exemplars.record(&trace);
         if let Some(ev) = &self.events {
             match &res {
@@ -837,12 +836,10 @@ impl LatencyService {
         batch: u32,
         ctx: &mut TraceContext,
     ) -> Result<Served, ServeError> {
-        self.metrics.requests();
         let binding = match self.resolve(platform) {
             Ok(b) => b,
             Err(e) => {
                 ctx.stage("resolve", &self.clock);
-                self.metrics.errors();
                 return Err(e);
             }
         };
@@ -850,7 +847,6 @@ impl LatencyService {
             Ok(g) => g,
             Err(e) => {
                 ctx.stage("resolve", &self.clock);
-                self.metrics.errors();
                 return Err(e);
             }
         };
@@ -865,8 +861,6 @@ impl LatencyService {
         let hot = self.cache.get(&key);
         ctx.stage("hot_cache", &self.clock);
         if let Some(ms) = hot {
-            self.metrics.hot_hits();
-            self.metrics.observe_latency(ms);
             return Ok(Served {
                 latency_ms: ms,
                 source: Source::HotCache,
@@ -884,8 +878,6 @@ impl LatencyService {
         if let Some(rec) = db_rec {
             self.cache.insert(key, rec.cost_ms);
             self.metrics.set_hot_cache_len(self.cache.len() as f64);
-            self.metrics.db_hits();
-            self.metrics.observe_latency(rec.cost_ms);
             // Database answers are measurement-backed: shadow-evaluate
             // them on the sampling cadence.
             if let Some(shadow) = &self.shadow {
@@ -922,7 +914,6 @@ impl LatencyService {
                     .analyze_admission(&graph, key.graph_hash, binding.platform.spec());
             ctx.stage("admission", &self.clock);
             if report.has_errors() {
-                self.metrics.lint_rejected();
                 return Err(ServeError::LintRejected(report.render_text()));
             }
         }
@@ -945,8 +936,6 @@ impl LatencyService {
             ) {
                 ctx.stage_at("embed_cache", ticks.embed_ns);
                 ctx.stage_at("predict_head", ticks.head_ns);
-                self.metrics.degraded();
-                self.metrics.observe_latency(p.latency_ms);
                 return Ok(Served {
                     latency_ms: p.latency_ms,
                     source: Source::Predicted,
@@ -958,10 +947,7 @@ impl LatencyService {
 
         // Tier 4: measure, coalescing concurrent misses on the key.
         match self.flights.begin(&key) {
-            Role::Follower(flight) => {
-                self.metrics.coalesced();
-                self.settle(flight.wait(), true, ctx)
-            }
+            Role::Follower(flight) => self.settle(flight.wait(), true, ctx),
             Role::Leader(flight) => {
                 // Double-check: the previous flight for this key may have
                 // completed between our cache miss and begin(). Workers
@@ -976,8 +962,6 @@ impl LatencyService {
                         }),
                     );
                     ctx.stage("hot_cache", &self.clock);
-                    self.metrics.hot_hits();
-                    self.metrics.observe_latency(ms);
                     return Ok(Served {
                         latency_ms: ms,
                         source: Source::HotCache,
@@ -1007,7 +991,6 @@ impl LatencyService {
                     // Publish the rejection so coalesced followers settle
                     // the same way instead of hanging.
                     self.flights.complete(&key, Err(e.clone()));
-                    self.metrics.rejected();
                     return Err(e);
                 }
                 self.settle(flight.wait(), false, ctx)
@@ -1040,31 +1023,12 @@ impl LatencyService {
             }
             ctx.stage("response", &self.clock);
         }
-        match outcome {
-            Ok(out) => {
-                let ms = out.latency_ms;
-                self.metrics.misses();
-                self.metrics.observe_latency(ms);
-                Ok(Served {
-                    latency_ms: ms,
-                    source: Source::Measured,
-                    approximate: false,
-                    coalesced,
-                })
-            }
-            Err(e) => {
-                // Belt-and-braces: the pre-admission gate keeps lint
-                // rejections out of the measurement path, but a flight
-                // could still publish one (e.g. strict toggled mid-build
-                // in a future refactor) — count it in its own class.
-                if matches!(e, ServeError::LintRejected(_)) {
-                    self.metrics.lint_rejected();
-                } else {
-                    self.metrics.rejected();
-                }
-                Err(e)
-            }
-        }
+        outcome.map(|out| Served {
+            latency_ms: out.latency_ms,
+            source: Source::Measured,
+            approximate: false,
+            coalesced,
+        })
     }
 
     fn resolve(&self, platform: &str) -> Result<PlatformBinding, ServeError> {
@@ -1542,7 +1506,6 @@ mod tests {
             workers: 2,
             queue_depth: 8,
             cache_capacity: 64,
-            cache_shards: 2,
             degrade_backlog: usize::MAX,
             ..Default::default()
         }
@@ -1572,58 +1535,147 @@ mod tests {
         system
     }
 
-    #[test]
-    fn miss_then_db_hit_then_hot_hit() {
-        let svc = LatencyService::start(quick_system(), small_cfg());
-        let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
-        let first = svc.query(&g, PLATFORM, 1).unwrap();
-        assert_eq!(first.source, Source::Measured);
-        assert!(!first.approximate);
-        // The measurement also filled the hot cache.
-        let second = svc.query(&g, PLATFORM, 1).unwrap();
-        assert_eq!(second.source, Source::HotCache);
-        assert_eq!(second.latency_ms, first.latency_ms);
+    /// requests, hot_hits, db_hits, misses, coalesced, degraded,
+    /// lint_rejected, errors, rejected.
+    fn outcomes(svc: &LatencyService) -> [u64; 9] {
         let m = svc.metrics();
-        assert_eq!((m.requests, m.misses, m.hot_hits, m.measured), (2, 1, 1, 1));
-        assert!(m.balanced());
+        [
+            m.requests,
+            m.hot_hits,
+            m.db_hits,
+            m.misses,
+            m.coalesced,
+            m.degraded,
+            m.lint_rejected,
+            m.errors,
+            m.rejected,
+        ]
+    }
+
+    /// The table under test: what one request ending in trace class
+    /// `class` adds to [`outcomes`].
+    fn bumps(class: &str) -> [u64; 9] {
+        match class {
+            "hot_cache" => [1, 1, 0, 0, 0, 0, 0, 0, 0],
+            "db_hit" => [1, 0, 1, 0, 0, 0, 0, 0, 0],
+            "measured" => [1, 0, 0, 1, 0, 0, 0, 0, 0],
+            "coalesced" => [1, 0, 0, 1, 1, 0, 0, 0, 0],
+            "degraded" => [1, 0, 0, 0, 0, 1, 0, 0, 0],
+            "lint_rejected" => [1, 0, 0, 0, 0, 0, 1, 0, 0],
+            "unknown_platform" | "bad_batch" => [1, 0, 0, 0, 0, 0, 0, 1, 0],
+            "overloaded" | "shutting_down" | "measurement" => [1, 0, 0, 0, 0, 0, 0, 0, 1],
+            other => panic!("unmapped trace class {other}"),
+        }
+    }
+
+    /// Serve one request and assert that its trace ends as `class` and
+    /// that the outcome counters moved by exactly what `class` maps to.
+    fn assert_outcome(
+        svc: &LatencyService,
+        class: &str,
+        g: &Arc<Graph>,
+        platform: &str,
+        batch: u32,
+    ) -> Result<Served, ServeError> {
+        let mut want = outcomes(svc);
+        for (w, b) in want.iter_mut().zip(bumps(class)) {
+            *w += b;
+        }
+        let (res, trace) = svc.query_traced(g, platform, batch);
+        assert_eq!(trace.class, class);
+        assert_eq!(outcomes(svc), want, "{class}");
+        res
     }
 
     #[test]
-    fn db_hits_promote_into_cache() {
+    fn outcome_counters_agree_with_trace_classes() {
         let system = quick_system();
-        // Seed the database out-of-band: the service's own cache is cold.
-        system
-            .query(
-                &nnlqp::QueryParams::by_name(
-                    ModelFamily::SqueezeNet.canonical().unwrap(),
-                    1,
-                    PLATFORM,
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        let svc = LatencyService::start(system, small_cfg());
-        let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
-        assert_eq!(svc.query(&g, PLATFORM, 1).unwrap().source, Source::Database);
-        assert_eq!(svc.query(&g, PLATFORM, 1).unwrap().source, Source::HotCache);
-        assert!(svc.metrics().balanced());
-    }
+        let svc = LatencyService::start(Arc::clone(&system), small_cfg());
+        let fresh: Vec<Arc<Graph>> = nnlqp_models::generate_family(ModelFamily::SqueezeNet, 6, 41)
+            .into_iter()
+            .map(|m| Arc::new(m.graph))
+            .collect();
+        let first = assert_outcome(&svc, "measured", &fresh[0], PLATFORM, 1).unwrap();
+        assert!(!first.approximate);
+        let again = assert_outcome(&svc, "hot_cache", &fresh[0], PLATFORM, 1).unwrap();
+        assert_eq!(again.latency_ms, first.latency_ms);
+        assert_eq!(svc.metrics().measured, 1);
+        assert_outcome(&svc, "unknown_platform", &fresh[0], "tpu-v9", 1).unwrap_err();
+        assert_outcome(&svc, "bad_batch", &fresh[0], PLATFORM, 0).unwrap_err();
+        // Recorded behind the service's back: the service finds it in the db.
+        let params = nnlqp::QueryParams::by_name((*fresh[1]).clone(), 1, PLATFORM).unwrap();
+        system.query(&params).unwrap();
+        assert_outcome(&svc, "db_hit", &fresh[1], PLATFORM, 1).unwrap();
+        assert_outcome(&svc, "hot_cache", &fresh[1], PLATFORM, 1).unwrap();
 
-    #[test]
-    fn invalid_requests_count_as_errors() {
-        let svc = LatencyService::start(quick_system(), small_cfg());
-        let g = Arc::new(ModelFamily::SqueezeNet.canonical().unwrap());
-        assert!(matches!(
-            svc.query(&g, "quantum-coprocessor", 1),
-            Err(ServeError::UnknownPlatform(_))
-        ));
-        assert!(matches!(
-            svc.query(&g, PLATFORM, 0),
-            Err(ServeError::BadBatch(_))
-        ));
-        let m = svc.metrics();
-        assert_eq!((m.requests, m.errors), (2, 2));
-        assert!(m.balanced());
+        let cfg = ServeConfig {
+            degrade_backlog: 0,
+            ..small_cfg()
+        };
+        let degrading = LatencyService::start(trained_system(), cfg);
+        let degraded = assert_outcome(&degrading, "degraded", &fresh[2], PLATFORM, 1).unwrap();
+        assert!(degraded.approximate);
+        assert_eq!(degrading.metrics().measured, 0);
+
+        let strict_system = Nnlqp::builder()
+            .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
+            .strict(true)
+            .build();
+        let strict = LatencyService::start(Arc::new(strict_system), small_cfg());
+        // One conv output fills the 128 MiB edge NPU on its own.
+        let mut b = nnlqp_ir::GraphBuilder::new("vram-hog", nnlqp_ir::Shape::nchw(1, 3, 512, 512));
+        let c = b.conv(None, 512, 1, 1, 0, 1).unwrap();
+        b.relu(c).unwrap();
+        let hog = Arc::new(b.finish().unwrap());
+        assert_outcome(&strict, "lint_rejected", &hog, "rv1109-rknn-int8", 1).unwrap_err();
+
+        let spin_until = |done: &dyn Fn() -> bool| {
+            while !done() {
+                std::thread::yield_now();
+            }
+        };
+        // Lead the flight for a fresh key from here: the request joins it
+        // as a follower and settles on what this test publishes.
+        let key = CacheKey {
+            graph_hash: graph_hash(&fresh[3]),
+            platform: Arc::from(PLATFORM),
+            batch: 1,
+        };
+        let Role::Leader(flight) = svc.flights.begin(&key) else {
+            panic!("fresh key already in flight");
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| assert_outcome(&svc, "coalesced", &fresh[3], PLATFORM, 1).unwrap());
+            // The table, this test and the joined follower hold the flight.
+            spin_until(&|| Arc::strong_count(&flight) == 3);
+            let outcome = FlightOutcome {
+                latency_ms: 1.0,
+                ticks: None,
+            };
+            svc.flights.complete(&key, Ok(outcome));
+        });
+
+        // One worker, a depth-1 queue. The worker takes the retrain lock
+        // after measuring and before publishing, so holding it parks the
+        // first job unpublished; with a second job queued, the next miss
+        // is turned away and nothing else finishes meanwhile.
+        let cfg = ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..small_cfg()
+        };
+        let busy = LatencyService::start(quick_system(), cfg);
+        std::thread::scope(|s| {
+            let parked = busy.retrain.state.lock();
+            s.spawn(|| busy.query(&fresh[3], PLATFORM, 1));
+            spin_until(&|| busy.system.farm_measurements() == 1);
+            s.spawn(|| busy.query(&fresh[4], PLATFORM, 1));
+            spin_until(&|| busy.backlog() == 1);
+            assert_outcome(&busy, "overloaded", &fresh[5], PLATFORM, 1).unwrap_err();
+            drop(parked);
+        });
+        busy.shutdown().unwrap();
+        assert_outcome(&busy, "shutting_down", &fresh[5], PLATFORM, 1).unwrap_err();
     }
 
     #[test]
@@ -1647,28 +1699,6 @@ mod tests {
         let restored = nnlqp_db::persist::load(&snap).unwrap();
         assert_eq!(restored.stats().latencies, 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn degrade_serves_predictions_under_backlog() {
-        // degrade_backlog = 0: every cache/db miss degrades immediately.
-        let cfg = ServeConfig {
-            degrade_backlog: 0,
-            ..small_cfg()
-        };
-        let svc = LatencyService::start(trained_system(), cfg);
-        let fresh = Arc::new(
-            nnlqp_models::generate_family(ModelFamily::SqueezeNet, 30, 99)
-                .pop()
-                .unwrap()
-                .graph,
-        );
-        let served = svc.query(&fresh, PLATFORM, 1).unwrap();
-        assert_eq!(served.source, Source::Predicted);
-        assert!(served.approximate);
-        let m = svc.metrics();
-        assert_eq!((m.degraded, m.measured), (1, 0));
-        assert!(m.balanced());
     }
 
     #[test]

@@ -33,7 +33,6 @@ fn serve_workload(sys: &Arc<Nnlqp>) {
         workers: 1,
         queue_depth: 32,
         cache_capacity: 128,
-        cache_shards: 2,
         degrade_backlog: usize::MAX,
         ..Default::default()
     };

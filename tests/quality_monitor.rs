@@ -132,7 +132,6 @@ fn degraded_predictor_drift_alert_retrains_and_recovers() {
         workers: 2,
         queue_depth: 8,
         cache_capacity: 64,
-        cache_shards: 2,
         degrade_backlog: usize::MAX,
         monitor: Some(MonitorConfig {
             sample_every: 1,

@@ -34,7 +34,6 @@ fn service(workers: usize) -> (Arc<Nnlqp>, LatencyService) {
         workers,
         queue_depth: 64,
         cache_capacity: 512,
-        cache_shards: 4,
         degrade_backlog: usize::MAX, // degrade disabled: every miss measures
         ..Default::default()
     };

@@ -36,7 +36,6 @@ fn service_over(system: Arc<Nnlqp>, degrade_backlog: usize) -> LatencyService {
             workers: 2,
             queue_depth: 16,
             cache_capacity: 128,
-            cache_shards: 2,
             degrade_backlog,
             ..Default::default()
         },
