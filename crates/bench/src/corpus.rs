@@ -31,15 +31,17 @@ pub fn measured_corpus(
             all.push((f, m.graph));
         }
     }
-    all.into_par_iter()
-        .enumerate()
-        .map(|(i, (family, graph))| {
-            let m = measure(&graph, platform, reps, seed ^ (i as u64) << 8);
-            MeasuredModel {
-                family,
-                graph,
-                latency_ms: m.mean_ms,
-            }
+    let jobs: Vec<(usize, &Graph)> = all.iter().map(|(_, g)| g).enumerate().collect();
+    let latencies: Vec<f64> = jobs
+        .par_iter()
+        .map(|&(i, graph)| measure(graph, platform, reps, seed ^ (i as u64) << 8).mean_ms)
+        .collect();
+    all.into_iter()
+        .zip(latencies)
+        .map(|((family, graph), latency_ms)| MeasuredModel {
+            family,
+            graph,
+            latency_ms,
         })
         .collect()
 }

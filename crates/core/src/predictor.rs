@@ -466,8 +466,10 @@ impl Nnlqp {
         self.g_embed_len.set(self.embed_cache.len() as f64);
 
         // Head fan-out: every embedding against every requested platform.
+        // Sequential — a head costs well under a microsecond, far less
+        // than handing it to another thread.
         let latencies_ms: Vec<Vec<f64>> = embeddings
-            .par_iter()
+            .iter()
             .map(|emb| {
                 let emb = emb.as_ref().expect("all embeddings resolved");
                 let mut scratch = nnlqp_predict::Scratch::new();

@@ -1,6 +1,6 @@
 //! Bootstrap-aggregated random forest regression — the estimator class the
 //! nn-Meter official project uses for kernel latency (Appendix E). Trees
-//! are fitted in parallel with rayon.
+//! are fitted in parallel, one tree per task.
 
 use crate::tree::{RegressionTree, TreeConfig};
 use nnlqp_ir::Rng64;
@@ -53,9 +53,10 @@ impl RandomForest {
         }
         let n = x.len();
         let take = ((n as f64) * cfg.sample_frac).round().max(1.0) as usize;
-        let trees: Vec<RegressionTree> = (0..cfg.n_trees)
-            .into_par_iter()
-            .map(|t| {
+        let tree_ids: Vec<usize> = (0..cfg.n_trees).collect();
+        let trees: Vec<RegressionTree> = tree_ids
+            .par_iter()
+            .map(|&t| {
                 let mut rng = Rng64::new(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 // Bootstrap with replacement.
                 let mut bx = Vec::with_capacity(take);

@@ -4,7 +4,7 @@
 //! replaces PyTorch for the NNLP predictor (the Rust ecosystem offers no
 //! GNN training stack, so it is built here from scratch):
 //!
-//! * dense f32 [`Matrix`] math with rayon-parallel, packed-panel
+//! * dense f32 [`Matrix`] math with sequential, packed-panel
 //!   multiplication, plus fused GEMM+bias+activation entry points and a
 //!   [`Scratch`] arena for the allocation-free inference path,
 //! * purely-functional layers with hand-derived backward passes

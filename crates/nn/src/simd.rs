@@ -24,8 +24,8 @@
 //! performs, ReLU masks with a `v < 0.0` compare (preserving `-0.0`, like
 //! the scalar test), and integer math has no rounding at all. The GEMM
 //! kernels keep ascending-`k` accumulation order per output element
-//! *within* a backend — so packed/unpacked and serial/parallel paths of
-//! one backend agree bitwise — but the AVX2 backend fuses each
+//! *within* a backend — so the packed and unpacked paths of one backend
+//! agree bitwise — but the AVX2 backend fuses each
 //! multiply-add (one rounding instead of two; scalar tails use
 //! `f32::mul_add` so every element sees the same fusion), which makes
 //! scalar-vs-SIMD GEMM comparisons a relative-tolerance affair

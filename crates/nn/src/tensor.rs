@@ -3,12 +3,12 @@
 //! Sized for this workload — node-feature matrices of a few hundred rows
 //! and a few dozen columns — so the multiply kernels favour simplicity and
 //! cache-friendly access (`a[i,k] * b[k,j]` with the k-loop outermost per
-//! row) over BLAS-grade tiling. Rayon parallelizes over rows when the
-//! matrix is large enough to amortize the fork.
+//! row) over BLAS-grade tiling. The row loops are sequential: callers
+//! parallelize one level up, over graphs and samples, where each task is
+//! large enough to amortize a thread.
 
 use crate::simd::{self, Kernel};
 use nnlqp_ir::Rng64;
-use rayon::prelude::*;
 
 /// Row-major 2-D f32 matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,9 +42,6 @@ impl<'de> serde::Deserialize<'de> for Matrix {
         Some(Matrix::from_value(&v))
     }
 }
-
-/// Row count below which matmul stays single-threaded.
-const PAR_THRESHOLD: usize = 64;
 
 /// Column-panel width of the packed-B matmul kernel. Panels keep the B
 /// operand cache-resident across the k-loop once outputs grow wider than
@@ -234,7 +231,7 @@ impl Matrix {
             // Row pairs share each B sweep (`gemm_two_rows`); an odd
             // trailing row runs the single-row kernel. Identical
             // arithmetic either way — pairing only changes load traffic.
-            let body = |(c, rows_chunk): (usize, &mut [f32])| {
+            for (c, rows_chunk) in out.data.chunks_mut(2 * n).enumerate() {
                 let i = 2 * c;
                 if rows_chunk.len() == 2 * n {
                     let (r0, r1) = rows_chunk.split_at_mut(n);
@@ -242,11 +239,6 @@ impl Matrix {
                 } else {
                     simd::gemm_row(kern, self.row(i), &b.data, rows_chunk);
                 }
-            };
-            if m >= PAR_THRESHOLD {
-                out.data.par_chunks_mut(2 * n).enumerate().for_each(body);
-            } else {
-                out.data.chunks_mut(2 * n).enumerate().for_each(body);
             }
             return;
         }
@@ -263,19 +255,13 @@ impl Matrix {
                     .copy_from_slice(&b.data[kk * n + j0..kk * n + j0 + jw]);
             }
         }
-        let pack = &pack[..];
-        let body = |(i, out_row): (usize, &mut [f32])| {
+        for (i, out_row) in out.data.chunks_mut(n).enumerate() {
             let a_row = self.row(i);
             for j0 in (0..n).step_by(PANEL) {
                 let jw = PANEL.min(n - j0);
                 let panel = &pack[j0 * k..j0 * k + k * jw];
                 simd::gemm_row(kern, a_row, panel, &mut out_row[j0..j0 + jw]);
             }
-        };
-        if m >= PAR_THRESHOLD {
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
         }
     }
 
@@ -324,14 +310,8 @@ impl Matrix {
             (self.rows, b.rows),
             "matmul_t out shape mismatch"
         );
-        let (m, n) = (self.rows, b.rows);
-        let body = |(i, out_row): (usize, &mut [f32])| {
+        for (i, out_row) in out.data.chunks_mut(b.rows).enumerate() {
             simd::matmul_t_row(kern, self.row(i), &b.data, out_row);
-        };
-        if m >= PAR_THRESHOLD {
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
-        } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
         }
     }
 
@@ -444,9 +424,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_serial() {
+    fn tall_matmul_matches_scalar_reference() {
         let mut r = Rng64::new(3);
-        // rows >= PAR_THRESHOLD triggers the parallel path.
+        // Tall enough to take the paired-row kernel many times over.
         let a = Matrix::from_fn(80, 32, |_, _| r.range_f64(-1.0, 1.0) as f32);
         let b = Matrix::from_fn(32, 16, |_, _| r.range_f64(-1.0, 1.0) as f32);
         let c = a.matmul(&b);

@@ -15,7 +15,6 @@ use nnlqp_nn::{
     layers::mse_loss, relu, relu_backward, Activation, Adam, Csr, Dropout, Linear, LinearGrad,
     Matrix, SageGrad, SageLayer, Scratch,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Conditioning factor applied to the sum-pooled graph embedding; see the
@@ -610,25 +609,6 @@ impl NnlpModel {
             .collect()
     }
 
-    /// Batched prediction: embeddings run rayon-parallel (one backbone
-    /// pass per graph, each worker on its own scratch arena), then each
-    /// embedding fans out across `head_idxs`. Returns latencies in
-    /// milliseconds indexed `[graph][requested head]`, bit-identical to
-    /// calling [`NnlpModel::predict_ms`] per (graph, head) pair.
-    pub fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
-        feats
-            .par_iter()
-            .map(|f| {
-                let mut scratch = Scratch::new();
-                let emb = self.embed_with(f, &mut scratch);
-                head_idxs
-                    .iter()
-                    .map(|&h| self.head_eval_with(&emb, h, &mut scratch))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// One training loss evaluation (log-space MSE) with gradients.
     pub fn loss_and_grads(
         &self,
@@ -681,6 +661,7 @@ impl NnlpModel {
 mod tests {
     use super::*;
     use crate::features::extract_features;
+    use crate::predictor::Predictor;
     use nnlqp_ir::{GraphBuilder, Shape};
 
     fn tiny_feats() -> GraphFeatures {
@@ -740,7 +721,7 @@ mod tests {
             b.relu(c).unwrap();
             extract_features(&b.finish().unwrap())
         };
-        let batch = m.predict_batch(&[feats.clone(), feats2.clone()], &[0, 1]);
+        let batch = Predictor::predict_batch(&m, &[feats.clone(), feats2.clone()], &[0, 1]);
         assert_eq!(batch.len(), 2);
         for (f, row) in [&feats, &feats2].into_iter().zip(&batch) {
             assert_eq!(row[0], m.predict_ms(f, 0));

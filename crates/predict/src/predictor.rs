@@ -130,7 +130,7 @@ pub trait Predictor: Send + Sync {
         self.head_eval_with(&emb, head_idx, &mut scratch)
     }
 
-    /// Batched prediction: one backbone pass per graph (rayon-parallel,
+    /// Batched prediction: one backbone pass per graph (graph-parallel,
     /// each worker on its own scratch arena), fanned out across
     /// `head_idxs`. Bit-identical to per-(graph, head)
     /// [`Predictor::predict_ms`] calls.
@@ -175,10 +175,6 @@ impl Predictor for NnlpModel {
 
     fn head_eval_with(&self, emb: &[f32], head_idx: usize, scratch: &mut Scratch) -> f64 {
         NnlpModel::head_eval_with(self, emb, head_idx, scratch)
-    }
-
-    fn predict_batch(&self, feats: &[GraphFeatures], head_idxs: &[usize]) -> Vec<Vec<f64>> {
-        NnlpModel::predict_batch(self, feats, head_idxs)
     }
 
     fn train_in_place(&mut self, samples: &[Sample], cfg: TrainConfig) -> TrainReport {
@@ -262,7 +258,7 @@ mod tests {
         assert_eq!(dynref.head_eval(&emb, 0), m.head_eval(&emb, 0));
         assert_eq!(
             dynref.predict_batch(std::slice::from_ref(&feats), &[0]),
-            NnlpModel::predict_batch(&m, std::slice::from_ref(&feats), &[0])
+            vec![vec![m.predict_ms(&feats, 0)]]
         );
     }
 

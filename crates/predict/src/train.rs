@@ -2,8 +2,8 @@
 //!
 //! Mini-batch training per §8.1: batch size 16, Adam at lr 1e-3, average
 //! batch loss backpropagated. Per-sample gradients are computed in
-//! parallel with rayon (the model is borrowed immutably), summed, then
-//! applied in one optimizer step — numerically identical to sequential
+//! parallel (the model is borrowed immutably), summed in batch order,
+//! then applied in one optimizer step — bit-identical to sequential
 //! batch accumulation.
 
 use crate::features::{extract_features, GraphFeatures, Normalizer, STATIC_DIM};
@@ -45,16 +45,19 @@ impl Dataset {
     pub fn build(entries: &[(&Graph, f64, usize)]) -> Dataset {
         // Feature extraction is the serial front half of every retrain
         // (including serve's background retrain loop) — run it, and the
-        // per-sample normalization, graph-parallel with rayon.
+        // per-sample normalization, graph-parallel.
         let feats: Vec<GraphFeatures> = entries
             .par_iter()
             .map(|(g, _, _)| extract_features(g))
             .collect();
         let norm = Normalizer::fit(&feats.iter().collect::<Vec<_>>());
-        let samples = feats
+        let idx: Vec<usize> = (0..entries.len()).collect();
+        let samples = idx
             .par_iter()
-            .zip(entries)
-            .map(|(f, (_, ms, head))| make_sample(f, *ms, *head, &norm))
+            .map(|&i| {
+                let (_, ms, head) = entries[i];
+                make_sample(&feats[i], ms, head, &norm)
+            })
             .collect();
         Dataset { samples, norm }
     }

@@ -340,7 +340,7 @@ fn apply_head(model: &mut TransformerModel, head_idx: usize, hg: &HeadGrad, opt:
 }
 
 /// Train a transformer in place — the same mini-batch Adam loop as the
-/// SAGE `train` (shuffled batches, rayon per-sample gradients, shared
+/// SAGE `train` (shuffled batches, parallel per-sample gradients, shared
 /// backbone averaged over the batch, heads routed per platform).
 pub fn train_transformer(
     model: &mut TransformerModel,
