@@ -6,16 +6,17 @@
 //! be pure refactorings of the arithmetic. Every assertion here is
 //! `assert_eq!` on `f64` — no tolerances.
 
-use nnlqp::{Nnlqp, QueryParams, TrainPredictorConfig, CACHED_PREDICT_COST_S, PREDICT_COST_S};
+use nnlqp::{
+    Nnlqp, PredictorKind, QueryParams, TrainPredictorConfig, CACHED_PREDICT_COST_S, PREDICT_COST_S,
+};
 use nnlqp_ir::Graph;
 use nnlqp_models::ModelFamily;
 use nnlqp_sim::{DeviceFarm, Platform, PlatformSpec};
 
 const PLATFORMS: [&str; 2] = ["gpu-T4-trt7.1-fp32", "cpu-openppl-fp32"];
 
-/// Build a system, measure a tiny SqueezeNet corpus on both platforms and
-/// train a small two-head predictor over it.
-fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
+/// Build a system and measure a tiny SqueezeNet corpus on both platforms.
+fn measured_system(embed_cache_capacity: usize) -> Nnlqp {
     let s = Nnlqp::builder()
         .farm(DeviceFarm::new(&PlatformSpec::table2_platforms(), 1))
         .reps(3)
@@ -29,16 +30,24 @@ fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
         s.warm_cache(&models, &Platform::by_name(name).unwrap(), 1)
             .unwrap();
     }
-    s.train_predictor(
-        &PLATFORMS,
-        TrainPredictorConfig {
-            epochs: 30,
-            hidden: 16,
-            gnn_layers: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    s
+}
+
+/// A small two-head predictor config; `None` trains the default arch.
+fn config(arch: Option<PredictorKind>) -> TrainPredictorConfig {
+    TrainPredictorConfig {
+        epochs: 30,
+        hidden: 16,
+        gnn_layers: 2,
+        arch,
+        ..Default::default()
+    }
+}
+
+/// [`measured_system`] plus a small predictor trained over its corpus.
+fn trained_system(embed_cache_capacity: usize) -> Nnlqp {
+    let s = measured_system(embed_cache_capacity);
+    s.train_predictor(&PLATFORMS, config(None)).unwrap();
     s
 }
 
@@ -54,18 +63,50 @@ fn probes(n: usize) -> Vec<Graph> {
 
 #[test]
 fn batch_matches_per_sample_predict_bitwise() {
-    let s = trained_system(0); // cache off: both paths run the backbone
-    let graphs = probes(3);
-    let batch = s.predict_batch(&graphs, &PLATFORMS).unwrap();
-    assert_eq!(batch.latencies_ms.len(), graphs.len());
-    for (g, row) in graphs.iter().zip(&batch.latencies_ms) {
-        assert_eq!(row.len(), PLATFORMS.len());
-        for (name, &want) in PLATFORMS.iter().zip(row) {
-            let p = QueryParams::by_name(g.clone(), 1, name).unwrap();
-            let got = s.predict(&p).unwrap();
-            assert_eq!(got.latency_ms, want, "batch != per-sample on {name}");
-            assert_eq!(got.cost_s, PREDICT_COST_S);
+    // Cache off, so both paths run the backbone. More misses than cores,
+    // so the batch's backbone pass runs on every thread and workers finish
+    // out of input order.
+    let s = measured_system(0);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let graphs = probes(4 * threads + 3);
+    for arch in [PredictorKind::Sage, PredictorKind::Transformer] {
+        s.train_predictor(&PLATFORMS, config(Some(arch))).unwrap();
+        let batch = s.predict_batch(&graphs, &PLATFORMS).unwrap();
+        assert_eq!(batch.embed_misses, graphs.len() as u64);
+        assert_eq!(batch.latencies_ms.len(), graphs.len());
+        for (g, row) in graphs.iter().zip(&batch.latencies_ms) {
+            assert_eq!(row.len(), PLATFORMS.len());
+            for (name, &want) in PLATFORMS.iter().zip(row) {
+                let p = QueryParams::by_name(g.clone(), 1, name).unwrap();
+                let got = s.predict(&p).unwrap();
+                assert_eq!(
+                    got.latency_ms, want,
+                    "{arch}: batch != per-sample on {name}"
+                );
+                assert_eq!(got.cost_s, PREDICT_COST_S);
+            }
         }
+    }
+}
+
+#[test]
+fn same_seed_training_is_byte_identical() {
+    // Per-sample gradients are computed on every thread and must still be
+    // summed in batch order: two same-seed trainings give one checkpoint.
+    let s = measured_system(0);
+    for arch in [PredictorKind::Sage, PredictorKind::Transformer] {
+        let train = || {
+            s.train_predictor_handle(&PLATFORMS, config(Some(arch)))
+                .unwrap()
+                .expect("the db holds samples")
+        };
+        let ((a, n), (b, _)) = (train(), train());
+        assert_eq!(n, 16, "{arch}: every measured sample trains");
+        assert_eq!(a.model.kind(), arch);
+        assert!(
+            a.model.to_json() == b.model.to_json(),
+            "{arch}: two same-seed trainings diverged"
+        );
     }
 }
 
@@ -113,11 +154,8 @@ fn retrain_hot_swap_invalidates_the_embed_cache() {
     s.train_predictor(
         &PLATFORMS,
         TrainPredictorConfig {
-            epochs: 30,
-            hidden: 16,
-            gnn_layers: 2,
             seed: 1234,
-            ..Default::default()
+            ..config(None)
         },
     )
     .unwrap();
