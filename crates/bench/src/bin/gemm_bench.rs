@@ -2,7 +2,8 @@
 //! engine actually runs: portable scalar f32, AVX2+FMA f32, and the int8
 //! quantized path, timed at the exact shapes the encoder backbones hit
 //! (node-feature projections, SAGE layers, attention projections, head
-//! MLPs).
+//! MLPs, and the per-head attention products). The attention core is f32
+//! on every predictor, so its two shapes report `null` for int8.
 //!
 //! Unlike `predict-bench` (end-to-end: features + backbone + heads), this
 //! isolates the GEMMs so kernel-level speedups are visible even when the
@@ -12,12 +13,24 @@
 //! gemm-bench [--quick] [--out PATH]
 //! ```
 //!
-//! Output JSON: one entry per (shape, backend) with GFLOP/s and the
-//! speedup of each backend over scalar at that shape.
+//! Output JSON: one entry per shape with each backend's GFLOP/s and its
+//! speedup over scalar (`null` where a backend has no kernel).
 
 use nnlqp_ir::Rng64;
 use nnlqp_nn::{simd_available, Activation, Kernel, Matrix, QuantLinear, QuantRow};
 use std::time::Instant;
+
+/// What one timed iteration runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// `A · B` plus the fused bias + ReLU epilogue: a linear layer (the
+    /// only op with an int8 counterpart).
+    Linear,
+    /// `A · B` alone: attention value mixing, `P · V_h`.
+    MatMul,
+    /// `A · Bᵀ` through `matmul_t`: attention scores, `Q_h · K_hᵀ`.
+    MatMulT,
+}
 
 /// A GEMM shape `[m x k] * [k x n]` with a label tying it back to the
 /// layer that runs it.
@@ -26,41 +39,62 @@ struct GemmShape {
     m: usize,
     k: usize,
     n: usize,
+    op: Op,
 }
 
 /// The shapes the deployed predictors actually execute: `m` is the node
 /// count of a mid-sized corpus graph (or 1 for the pooled head), `k`/`n`
-/// the layer widths of the benched configurations.
-const SHAPES: [GemmShape; 5] = [
+/// the layer widths of the benched configurations. The attention shapes
+/// use 91 nodes and `d_h` = 12 (`d_model` 48 over 4 heads).
+const SHAPES: [GemmShape; 7] = [
     GemmShape {
         label: "sage-layer (64 nodes, 32->32)",
         m: 64,
         k: 32,
         n: 32,
+        op: Op::Linear,
     },
     GemmShape {
         label: "encoder-in (64 nodes, feat 29 -> 64)",
         m: 64,
         k: 29,
         n: 64,
+        op: Op::Linear,
     },
     GemmShape {
         label: "attn-proj (64 nodes, 64->64)",
         m: 64,
         k: 64,
         n: 64,
+        op: Op::Linear,
     },
     GemmShape {
         label: "wide-layer (128 nodes, 64->64)",
         m: 128,
         k: 64,
         n: 64,
+        op: Op::Linear,
     },
     GemmShape {
         label: "head-mlp (1 row, 64->64)",
         m: 1,
         k: 64,
         n: 64,
+        op: Op::Linear,
+    },
+    GemmShape {
+        label: "attn-score (91 nodes, d_h 12, Q*K^T)",
+        m: 91,
+        k: 12,
+        n: 91,
+        op: Op::MatMulT,
+    },
+    GemmShape {
+        label: "attn-mix (91 nodes, P*V 91->12)",
+        m: 91,
+        k: 91,
+        n: 12,
+        op: Op::MatMul,
     },
 ];
 
@@ -121,56 +155,68 @@ fn main() {
     for shape in &SHAPES {
         let (m, k, n) = (shape.m, shape.k, shape.n);
         let a = rand_matrix(m, k, &mut rng);
-        let b = rand_matrix(k, n, &mut rng);
+        // `matmul_t` takes B as `[n x k]`.
+        let b = match shape.op {
+            Op::MatMulT => rand_matrix(n, k, &mut rng),
+            Op::Linear | Op::MatMul => rand_matrix(k, n, &mut rng),
+        };
         let bias: Vec<f32> = (0..n).map(|_| (rng.uniform() as f32) - 0.5).collect();
-        let ql = QuantLinear::quantize(&b, &bias);
         let flops = 2.0 * (m * k * n) as f64 * inner as f64;
 
         let mut out_m = Matrix::zeros(m, n);
         let mut pack = Vec::new();
         let mut qrow = QuantRow::new();
 
-        let scalar_s = time_it(iters, || {
-            for _ in 0..inner {
-                a.matmul_into_with(Kernel::Scalar, &b, &mut out_m, &mut pack);
-                out_m.bias_act_with(Kernel::Scalar, &bias, Activation::Relu);
-            }
-        });
-        let simd_s = if simd_available() {
+        let mut time_f32 = |kern: Kernel| {
             time_it(iters, || {
                 for _ in 0..inner {
-                    a.matmul_into_with(Kernel::Avx2Fma, &b, &mut out_m, &mut pack);
-                    out_m.bias_act_with(Kernel::Avx2Fma, &bias, Activation::Relu);
+                    match shape.op {
+                        Op::Linear => {
+                            a.matmul_into_with(kern, &b, &mut out_m, &mut pack);
+                            out_m.bias_act_with(kern, &bias, Activation::Relu);
+                        }
+                        Op::MatMul => a.matmul_into_with(kern, &b, &mut out_m, &mut pack),
+                        Op::MatMulT => a.matmul_t_into_with(kern, &b, &mut out_m, &mut pack),
+                    }
                 }
             })
+        };
+        let scalar_s = time_f32(Kernel::Scalar);
+        let simd_s = if simd_available() {
+            time_f32(Kernel::Avx2Fma)
         } else {
             scalar_s
         };
         // The int8 path runs on the dispatched backend, like deployment.
-        let int8_s = time_it(iters, || {
-            for _ in 0..inner {
-                ql.forward_quant(&a, &mut out_m, Activation::Relu, &mut qrow);
-            }
+        let int8_s = (shape.op == Op::Linear).then(|| {
+            let ql = QuantLinear::quantize(&b, &bias);
+            time_it(iters, || {
+                for _ in 0..inner {
+                    ql.forward_quant(&a, &mut out_m, Activation::Relu, &mut qrow);
+                }
+            })
         });
 
         let gflops = |s: f64| flops / s.max(1e-12) / 1e9;
+        let int8_text = int8_s.map_or_else(
+            || "int8      -".to_string(),
+            |s| format!("int8 {:6.2} GF/s ({:4.2}x)", gflops(s), scalar_s / s),
+        );
         eprintln!(
-            "[gemm-bench] {:<38} scalar {:6.2} GF/s  avx2 {:6.2} GF/s ({:4.2}x)  int8 {:6.2} GF/s ({:4.2}x)",
+            "[gemm-bench] {:<38} scalar {:6.2} GF/s  avx2 {:6.2} GF/s ({:4.2}x)  {int8_text}",
             shape.label,
             gflops(scalar_s),
             gflops(simd_s),
             scalar_s / simd_s,
-            gflops(int8_s),
-            scalar_s / int8_s,
         );
         rows.push(serde_json::json!({
             "label": shape.label,
             "m": m, "k": k, "n": n,
             "scalar_gflops": gflops(scalar_s),
             "avx2_gflops": gflops(simd_s),
-            "int8_gflops": gflops(int8_s),
+            "int8_gflops": int8_s.map(gflops),
             "avx2_speedup": scalar_s / simd_s,
-            "int8_speedup": scalar_s / int8_s,
+            "int8_speedup": int8_s.map(|s| scalar_s / s),
         }));
     }
 

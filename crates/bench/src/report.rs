@@ -49,6 +49,50 @@ pub fn save_json(out_dir: &Option<std::path::PathBuf>, name: &str, value: &serde
     }
 }
 
+/// The machine a bench report was measured on: logical CPUs, CPU model,
+/// the SIMD features the kernels can use, the active kernel backend and
+/// the compiler. Numbers from two reports compare only when these match.
+pub fn host() -> serde_json::Value {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|v| v.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    serde_json::json!({
+        "nproc": std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get),
+        "cpu_model": cpu_model,
+        "simd_features": simd_features(),
+        "kernel_backend": nnlqp_nn::kernel().as_str(),
+        "rustc": env!("NNLQP_BENCH_RUSTC"),
+    })
+}
+
+/// The x86-64 vector extensions this CPU reports, of those relevant to
+/// the f32 and int8 kernels.
+fn simd_features() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        [
+            ("avx2", has!("avx2")),
+            ("fma", has!("fma")),
+            ("avx512f", has!("avx512f")),
+            ("avx512bw", has!("avx512bw")),
+            ("avx512vnni", has!("avx512vnni")),
+        ]
+        .into_iter()
+        .filter_map(|(name, on)| on.then_some(name))
+        .collect()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
+}
+
 /// Format a percentage with two decimals, paper style.
 pub fn pct(x: f64) -> String {
     format!("{x:.2}%")

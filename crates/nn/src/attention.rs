@@ -31,13 +31,24 @@ pub const ATTN_NONEDGE_BIAS: f32 = -8.0;
 /// self-pairs and graph edges, [`ATTN_NONEDGE_BIAS`] everywhere else.
 pub fn attention_bias(adj: &Csr) -> Matrix {
     let n = adj.n();
-    let mut b = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { ATTN_NONEDGE_BIAS });
+    let mut b = Matrix::zeros(n, n);
+    attention_bias_into(adj, &mut b);
+    b
+}
+
+/// [`attention_bias`] written into an `[n, n]` matrix (every element is
+/// overwritten), so the inference path can draw it from a [`Scratch`]
+/// arena instead of allocating one per graph.
+pub fn attention_bias_into(adj: &Csr, b: &mut Matrix) {
+    let n = adj.n();
+    assert_eq!((b.rows, b.cols), (n, n), "attention bias shape mismatch");
+    b.data.fill(ATTN_NONEDGE_BIAS);
     for i in 0..n {
+        b.set(i, i, 0.0);
         for &j in adj.neighbors(i) {
             b.set(i, j as usize, 0.0);
         }
     }
-    b
 }
 
 /// One attention block: query/key/value/output projections, a parallel
@@ -238,7 +249,7 @@ pub fn attend_eval(
         col_block_into(q, h * dh, &mut qh);
         col_block_into(k, h * dh, &mut kh);
         col_block_into(v, h * dh, &mut vh);
-        qh.matmul_t_into(&kh, &mut s);
+        qh.matmul_t_into(&kh, &mut s, scratch.pack_buf());
         s.scale_add_assign(scale, bias);
         softmax_rows_inplace(&mut s);
         s.matmul_into(&vh, &mut oh, scratch.pack_buf());

@@ -35,7 +35,7 @@ pub mod tensor;
 pub mod tree;
 
 pub use adam::Adam;
-pub use attention::{attention_bias, AttnGrad, AttnLayer, ATTN_NONEDGE_BIAS};
+pub use attention::{attention_bias, attention_bias_into, AttnGrad, AttnLayer, ATTN_NONEDGE_BIAS};
 pub use csr::Csr;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use layers::{

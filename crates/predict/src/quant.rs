@@ -24,7 +24,7 @@ use crate::train::{Sample, TrainConfig, TrainReport};
 use crate::transformer::{TransformerConfig, TransformerModel};
 use nnlqp_nn::attention::attend_eval;
 use nnlqp_nn::{
-    attention_bias, l2_normalize_rows_inplace, relu_inplace, Activation, AttnLayer, Matrix,
+    attention_bias_into, l2_normalize_rows_inplace, relu_inplace, Activation, AttnLayer, Matrix,
     QuantLinear, QuantRow, SageLayer, Scratch,
 };
 
@@ -261,7 +261,9 @@ impl QuantTransformerModel {
     ) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
         let nodes = self.norm.normalize_nodes(&feats.nodes);
-        let bias = attention_bias(&feats.adj);
+        let n = feats.adj.n();
+        let mut bias = scratch.take(n, n);
+        attention_bias_into(&feats.adj, &mut bias);
         let mut h = scratch.take(nodes.rows, self.embed_in.out_dim());
         self.embed_in
             .forward_quant(&nodes, &mut h, Activation::Identity, qrow);
@@ -272,6 +274,7 @@ impl QuantTransformerModel {
         }
         let mut pooled = h.col_sums();
         scratch.put(h);
+        scratch.put(bias);
         for v in &mut pooled {
             *v *= SUM_POOL_SCALE;
         }

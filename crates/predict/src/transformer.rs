@@ -17,7 +17,8 @@ use crate::train::{Sample, TrainConfig, TrainReport};
 use nnlqp_ir::Rng64;
 use nnlqp_nn::layers::mse_loss;
 use nnlqp_nn::{
-    attention_bias, Activation, Adam, AttnGrad, AttnLayer, Csr, Linear, LinearGrad, Matrix, Scratch,
+    attention_bias, attention_bias_into, Activation, Adam, AttnGrad, AttnLayer, Csr, Linear,
+    LinearGrad, Matrix, Scratch,
 };
 use rayon::prelude::*;
 
@@ -219,7 +220,9 @@ impl TransformerModel {
     pub fn embed_with(&self, feats: &GraphFeatures, scratch: &mut Scratch) -> Vec<f32> {
         let stat = self.norm.normalize_stat(&feats.stat);
         let nodes = self.norm.normalize_nodes(&feats.nodes);
-        let bias = attention_bias(&feats.adj);
+        let n = feats.adj.n();
+        let mut bias = scratch.take(n, n);
+        attention_bias_into(&feats.adj, &mut bias);
         let mut h = scratch.take(nodes.rows, self.embed_in.w.cols);
         self.embed_in
             .forward_into(&nodes, Activation::Identity, &mut h, scratch.pack_buf());
@@ -230,6 +233,7 @@ impl TransformerModel {
         }
         let mut pooled = h.col_sums();
         scratch.put(h);
+        scratch.put(bias);
         for v in &mut pooled {
             *v *= SUM_POOL_SCALE;
         }

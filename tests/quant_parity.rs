@@ -64,8 +64,8 @@ proptest! {
 
         let mut st = Matrix::zeros(m, n);
         let mut vt = Matrix::zeros(m, n);
-        a.matmul_t_into_with(Kernel::Scalar, &bt, &mut st);
-        a.matmul_t_into_with(Kernel::Avx2Fma, &bt, &mut vt);
+        a.matmul_t_into_with(Kernel::Scalar, &bt, &mut st, &mut pack);
+        a.matmul_t_into_with(Kernel::Avx2Fma, &bt, &mut vt, &mut pack);
         prop_assert!(rel_dev(&st, &vt) <= 1e-5, "matmul_t dev {}", rel_dev(&st, &vt));
 
         let ts = at.t_matmul_with(Kernel::Scalar, &b);
@@ -112,6 +112,45 @@ proptest! {
         ql.forward_quant_with(Kernel::Avx2Fma, &x, &mut v, Activation::Identity, &mut qrow);
         for i in 0..rows {
             prop_assert_eq!(s.row(i), v.row(i));
+        }
+    }
+}
+
+/// Bit patterns of a row (`-0.0` and `+0.0` differ here, unlike `==`).
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On the AVX2 backend, products that take the packed `A·B^T` path
+    /// (8 <= k < 16, m >= 4) or the narrow-GEMM path (n < 32, m >= 4)
+    /// equal the same product computed one row at a time — m = 1 stays on
+    /// the row kernels — bit for bit. 512 cases over m, k, n in 1..40
+    /// reach every n % 8 and n % 16 tail.
+    #[test]
+    fn avx2_packed_and_narrow_gemm_match_row_at_a_time_bitwise(
+        m in 1usize..12, k in 1usize..40, n in 1usize..40, seed in any::<u64>(),
+    ) {
+        if !simd_available() { return Ok(()); }
+        let kern = Kernel::Avx2Fma;
+        let mut rng = Rng64::new(seed);
+        let a = rand_matrix(m, k, &mut rng);
+        let b = rand_matrix(k, n, &mut rng);
+        let bt = rand_matrix(n, k, &mut rng);
+        let mut pack = Vec::new();
+        let mut full = Matrix::zeros(m, n);
+        let mut full_t = Matrix::zeros(m, n);
+        a.matmul_into_with(kern, &b, &mut full, &mut pack);
+        a.matmul_t_into_with(kern, &bt, &mut full_t, &mut pack);
+        let mut one = Matrix::zeros(1, n);
+        for i in 0..m {
+            let row = Matrix::from_rows(1, k, a.row(i).to_vec());
+            row.matmul_into_with(kern, &b, &mut one, &mut pack);
+            prop_assert_eq!(bits(full.row(i)), bits(one.row(0)), "matmul {}x{}x{} row {}", m, k, n, i);
+            row.matmul_t_into_with(kern, &bt, &mut one, &mut pack);
+            prop_assert_eq!(bits(full_t.row(i)), bits(one.row(0)), "matmul_t {}x{}x{} row {}", m, k, n, i);
         }
     }
 }
