@@ -1,9 +1,8 @@
 //! `gemm-bench` — micro-benchmark of the matrix kernels the inference
-//! engine actually runs: portable scalar f32, AVX2+FMA f32, and the int8
-//! quantized path, timed at the exact shapes the encoder backbones hit
-//! (node-feature projections, SAGE layers, attention projections, head
-//! MLPs, and the per-head attention products). The attention core is f32
-//! on every predictor, so its two shapes report `null` for int8.
+//! engine actually runs: portable scalar f32 and AVX2+FMA f32, timed at
+//! the exact shapes the encoder backbones hit (node-feature projections,
+//! SAGE layers, attention projections, head MLPs, and the per-head
+//! attention products).
 //!
 //! Unlike `predict-bench` (end-to-end: features + backbone + heads), this
 //! isolates the GEMMs so kernel-level speedups are visible even when the
@@ -13,18 +12,17 @@
 //! gemm-bench [--quick] [--out PATH]
 //! ```
 //!
-//! Output JSON: one entry per shape with each backend's GFLOP/s and its
-//! speedup over scalar (`null` where a backend has no kernel).
+//! Output JSON: one entry per shape with each backend's GFLOP/s and the
+//! AVX2 speedup over scalar.
 
 use nnlqp_ir::Rng64;
-use nnlqp_nn::{simd_available, Activation, Kernel, Matrix, QuantLinear, QuantRow};
+use nnlqp_nn::{simd_available, Activation, Kernel, Matrix};
 use std::time::Instant;
 
 /// What one timed iteration runs.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Op {
-    /// `A · B` plus the fused bias + ReLU epilogue: a linear layer (the
-    /// only op with an int8 counterpart).
+    /// `A · B` plus the fused bias + ReLU epilogue: a linear layer.
     Linear,
     /// `A · B` alone: attention value mixing, `P · V_h`.
     MatMul,
@@ -165,7 +163,6 @@ fn main() {
 
         let mut out_m = Matrix::zeros(m, n);
         let mut pack = Vec::new();
-        let mut qrow = QuantRow::new();
 
         let mut time_f32 = |kern: Kernel| {
             time_it(iters, || {
@@ -187,23 +184,10 @@ fn main() {
         } else {
             scalar_s
         };
-        // The int8 path runs on the dispatched backend, like deployment.
-        let int8_s = (shape.op == Op::Linear).then(|| {
-            let ql = QuantLinear::quantize(&b, &bias);
-            time_it(iters, || {
-                for _ in 0..inner {
-                    ql.forward_quant(&a, &mut out_m, Activation::Relu, &mut qrow);
-                }
-            })
-        });
 
         let gflops = |s: f64| flops / s.max(1e-12) / 1e9;
-        let int8_text = int8_s.map_or_else(
-            || "int8      -".to_string(),
-            |s| format!("int8 {:6.2} GF/s ({:4.2}x)", gflops(s), scalar_s / s),
-        );
         eprintln!(
-            "[gemm-bench] {:<38} scalar {:6.2} GF/s  avx2 {:6.2} GF/s ({:4.2}x)  {int8_text}",
+            "[gemm-bench] {:<38} scalar {:6.2} GF/s  avx2 {:6.2} GF/s ({:4.2}x)",
             shape.label,
             gflops(scalar_s),
             gflops(simd_s),
@@ -214,9 +198,7 @@ fn main() {
             "m": m, "k": k, "n": n,
             "scalar_gflops": gflops(scalar_s),
             "avx2_gflops": gflops(simd_s),
-            "int8_gflops": int8_s.map(gflops),
             "avx2_speedup": scalar_s / simd_s,
-            "int8_speedup": int8_s.map(|s| scalar_s / s),
         }));
     }
 

@@ -25,13 +25,11 @@
 //! and the run's scale.
 //!
 //! ```text
-//! predict-bench [--quick] [--seed S] [--out PATH] [--no-simd] [--quant]
+//! predict-bench [--quick] [--seed S] [--out PATH] [--no-simd]
 //! ```
 //!
 //! `--no-simd` pins the portable scalar GEMM kernels (the report's
-//! `host.kernel_backend` field records which backend actually ran);
-//! `--quant` times the int8 quantized predictor instead of the f32
-//! champion (every phase runs through `PredictorHandle::quantized`).
+//! `host.kernel_backend` field records which backend actually ran).
 
 use nnlqp::{metric_names, Nnlqp, PredictorHandle, PredictorKind, TrainPredictorConfig};
 use nnlqp_ir::{Graph, Rng64};
@@ -80,7 +78,7 @@ impl Scale {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: predict-bench [--quick] [--seed S] [--out PATH] [--no-simd] [--quant]");
+    eprintln!("usage: predict-bench [--quick] [--seed S] [--out PATH] [--no-simd]");
     std::process::exit(2);
 }
 
@@ -226,7 +224,6 @@ impl ArchReport {
 /// Train `arch` on the corpus already measured into `trainer`, then time
 /// all three phases on fresh cache-off / cache-on systems sharing the
 /// trained handle.
-#[allow(clippy::too_many_arguments)]
 fn run_arch(
     arch: PredictorKind,
     trainer: &Nnlqp,
@@ -235,7 +232,6 @@ fn run_arch(
     platform_names: &[&str],
     scale: &Scale,
     seed: u64,
-    quant: bool,
 ) -> ArchReport {
     trainer
         .train_predictor(
@@ -250,10 +246,7 @@ fn run_arch(
             },
         )
         .expect("train");
-    let mut handle = trainer.predictor_handle().expect("trained handle");
-    if quant {
-        handle = handle.quantized().expect("quantize trained handle");
-    }
+    let handle = trainer.predictor_handle().expect("trained handle");
 
     // Two inference systems sharing the weights: cache off vs cache on.
     let baseline = Nnlqp::builder()
@@ -313,13 +306,11 @@ fn main() {
     let mut seed = 0x4e4e_4c51_u64;
     let mut out = std::path::PathBuf::from("BENCH_predict.json");
     let mut no_simd = false;
-    let mut quant = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--no-simd" => no_simd = true,
-            "--quant" => quant = true,
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = v,
                 None => usage(),
@@ -338,9 +329,8 @@ fn main() {
         nnlqp_nn::set_simd_enabled(false);
     }
     eprintln!(
-        "[predict-bench] kernel backend: {} ({})",
-        nnlqp_nn::kernel().as_str(),
-        if quant { "int8 quantized" } else { "f32" },
+        "[predict-bench] kernel backend: {}",
+        nnlqp_nn::kernel().as_str()
     );
 
     let specs = PlatformSpec::table2_platforms();
@@ -387,7 +377,6 @@ fn main() {
         &platform_names,
         &scale,
         seed,
-        quant,
     );
     let transformer = run_arch(
         PredictorKind::Transformer,
@@ -397,7 +386,6 @@ fn main() {
         &platform_names,
         &scale,
         seed,
-        quant,
     );
 
     let report = serde_json::json!({
@@ -406,7 +394,6 @@ fn main() {
         "quick": quick,
         "seed": seed,
         "host": nnlqp_bench::report::host(),
-        "quantized": quant,
         "config": {
             "train_graphs": scale.train_graphs,
             "eval_graphs": eval.len(),

@@ -70,8 +70,8 @@ pub fn host() -> serde_json::Value {
     })
 }
 
-/// The x86-64 vector extensions this CPU reports, of those relevant to
-/// the f32 and int8 kernels.
+/// The x86-64 vector extensions this CPU reports: the AVX2/FMA pair the
+/// f32 kernels use, plus the AVX-512 extensions a wider arm would need.
 fn simd_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {

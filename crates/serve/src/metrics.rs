@@ -83,12 +83,6 @@ pub mod metric_names {
     pub const DRIFT_RETRAINS: &str = "serve.drift_retrains";
     /// Counter: A/B challenger promotions to per-platform champion.
     pub const PREDICTOR_PROMOTIONS: &str = "serve.predictor_promotions";
-    /// Counter: quantized champions installed after passing the
-    /// publish-time accuracy parity gate.
-    pub const QUANT_PUBLISHES: &str = "serve.quant_publishes";
-    /// Counter: quantized candidates rejected by the parity gate (the f32
-    /// champion kept serving).
-    pub const QUANT_REJECTED: &str = "serve.quant_rejected";
     /// Gauge (per platform/arch label set): windowed MAPE of the A/B
     /// challenger, percent (the champion's lives in the quality monitor).
     pub const AB_CHALLENGER_MAPE: &str = "serve.ab_challenger_mape";
@@ -128,8 +122,6 @@ pub struct ServeMetrics {
     retrain_samples: Arc<Counter>,
     drift_retrains: Arc<Counter>,
     predictor_promotions: Arc<Counter>,
-    quant_publishes: Arc<Counter>,
-    quant_rejected: Arc<Counter>,
     latency: Arc<Histogram>,
     request_wall: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -174,8 +166,6 @@ impl ServeMetrics {
             retrain_samples: registry.counter(metric_names::RETRAIN_SAMPLES),
             drift_retrains: registry.counter(metric_names::DRIFT_RETRAINS),
             predictor_promotions: registry.counter(metric_names::PREDICTOR_PROMOTIONS),
-            quant_publishes: registry.counter(metric_names::QUANT_PUBLISHES),
-            quant_rejected: registry.counter(metric_names::QUANT_REJECTED),
             latency: registry.histogram(metric_names::LATENCY_MS, &HISTOGRAM_BOUNDS_MS),
             request_wall: registry.histogram(metric_names::REQUEST_WALL_MS, &wall),
             queue_wait: registry.histogram(metric_names::QUEUE_WAIT_MS, &wall),
@@ -228,13 +218,7 @@ impl ServeMetrics {
         self.queue_wait.observe(ms);
     }
 
-    bump!(
-        measured,
-        drift_retrains,
-        predictor_promotions,
-        quant_publishes,
-        quant_rejected,
-    );
+    bump!(measured, drift_retrains, predictor_promotions);
 
     pub(crate) fn retrained(&self, samples: u64) {
         self.retrains.inc();
@@ -275,8 +259,6 @@ impl ServeMetrics {
             retrains: self.retrains.get(),
             retrain_samples: self.retrain_samples.get(),
             predictor_promotions: self.predictor_promotions.get(),
-            quant_publishes: self.quant_publishes.get(),
-            quant_rejected: self.quant_rejected.get(),
             latency_histogram,
         }
     }
@@ -315,11 +297,6 @@ pub struct MetricsSnapshot {
     /// A/B challenger promotions to per-platform champion (informational
     /// overlay, like `retrains` — not a terminal request class).
     pub predictor_promotions: u64,
-    /// Quantized champions installed after passing the publish-time
-    /// accuracy parity gate.
-    pub quant_publishes: u64,
-    /// Quantized candidates rejected by the parity gate.
-    pub quant_rejected: u64,
     /// `(upper_bound_ms, count)` pairs; the last bound is `+inf`.
     pub latency_histogram: Vec<(f64, u64)>,
 }
@@ -365,8 +342,6 @@ impl MetricsSnapshot {
             "retrains": self.retrains,
             "retrain_samples": self.retrain_samples,
             "predictor_promotions": self.predictor_promotions,
-            "quant_publishes": self.quant_publishes,
-            "quant_rejected": self.quant_rejected,
             "balanced": self.balanced(),
             "latency_ms_histogram": histogram,
         })

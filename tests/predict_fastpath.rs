@@ -175,29 +175,3 @@ fn retrain_hot_swap_invalidates_the_embed_cache() {
     // Different weights ⇒ (almost surely) a different value than before.
     assert_ne!(after.latency_ms, before.latency_ms);
 }
-
-#[test]
-fn quantized_swap_never_serves_a_stale_f32_embedding() {
-    // Swapping the f32 champion for its int8 twin changes the embedding
-    // arithmetic, so the embed cache must miss: the quantized identity
-    // lives in its own band and every install re-stamps the generation.
-    let s = trained_system(2048);
-    let g = probes(1).pop().unwrap();
-    let p = QueryParams::by_name(g, 1, PLATFORMS[0]).unwrap();
-    let f32_pred = s.predict(&p).unwrap();
-    assert_eq!(s.predict(&p).unwrap().cost_s, CACHED_PREDICT_COST_S);
-
-    let q = s.predictor_handle().unwrap().quantized().unwrap();
-    s.set_predictor(q);
-    let first = s.predict(&p).unwrap();
-    assert_eq!(first.cost_s, PREDICT_COST_S, "stale f32 embedding served");
-    // Quantized inference is deterministic: the cached path replays it
-    // bitwise.
-    let second = s.predict(&p).unwrap();
-    assert_eq!(second.cost_s, CACHED_PREDICT_COST_S);
-    assert_eq!(second.latency_ms, first.latency_ms);
-    // And the int8 prediction tracks the f32 one within the quantization
-    // budget (log-space, same bound the unit parity tests pin).
-    let dev = (first.latency_ms.ln_1p() - f32_pred.latency_ms.ln_1p()).abs();
-    assert!(dev < 0.25, "int8 drifted from f32: {dev}");
-}
